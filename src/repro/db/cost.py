@@ -29,7 +29,7 @@ from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.relation import Relation
 from repro.db.stats import CardinalityEstimator
-from repro.db.yannakakis import atom_relation, choose_cover
+from repro.db.yannakakis import CoverChooser, atom_relation
 
 Bag = FrozenSet[Vertex]
 
@@ -39,7 +39,11 @@ def _log(value: float) -> float:
 
 
 class _CostModelBase:
-    """Shared plumbing: bag covers and atom lookup for a fixed query."""
+    """Shared plumbing: bag covers and atom lookup for a fixed query.
+
+    Covers come from the executor's own :class:`CoverChooser`, so the
+    models price the bag joins Yannakakis actually runs.
+    """
 
     def __init__(
         self,
@@ -50,25 +54,12 @@ class _CostModelBase:
     ):
         self.query = query
         self.database = database
-        self.hypergraph = query.hypergraph()
-        self.max_cover_size = max_cover_size
-        self.prefer_connected = prefer_connected
-        self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
-
-    def cover_of(self, bag: Bag) -> Tuple[str, ...]:
-        if bag not in self._cover_cache:
-            if not bag:
-                self._cover_cache[bag] = ()
-            else:
-                self._cover_cache[bag] = tuple(
-                    choose_cover(
-                        self.hypergraph,
-                        bag,
-                        max_size=self.max_cover_size,
-                        prefer_connected=self.prefer_connected,
-                    )
-                )
-        return self._cover_cache[bag]
+        self.cover_of = CoverChooser(
+            query,
+            database,
+            max_size=max_cover_size,
+            prefer_connected=prefer_connected,
+        )
 
     def cover_atoms(self, bag: Bag) -> List[Atom]:
         return [self.query.atom(alias) for alias in self.cover_of(bag)]
@@ -86,7 +77,7 @@ class EstimateCostModel(_CostModelBase):
         prefer_connected: bool = True,
     ):
         super().__init__(query, database, max_cover_size, prefer_connected)
-        self.estimator = estimator or CardinalityEstimator(database)
+        self.estimator = estimator or database.estimator()
         # Plan costs are pure functions of the atom set; Algorithm 2 asks for
         # the same bags and (parent, child) pairs over and over.
         self._plan_cost_cache: Dict[Tuple[str, ...], float] = {}

@@ -11,10 +11,13 @@ the equivalence tests and the join benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.db.interner import ValueInterner
 from repro.db.relation import Relation
+
+if TYPE_CHECKING:
+    from repro.db.stats import CardinalityEstimator
 
 
 class Database:
@@ -31,6 +34,7 @@ class Database:
         self._primary_keys: Dict[str, str] = {}
         self.relation_cls: Type = relation_cls or Relation
         self.interner = ValueInterner()
+        self._estimator: Optional["CardinalityEstimator"] = None
 
     # -- schema management -------------------------------------------------------
 
@@ -47,6 +51,7 @@ class Database:
             # space so joins inside the database never need translation.
             relation = relation.with_interner(self.interner)
         self._relations[relation.name] = relation
+        self._estimator = None
         if primary_key is not None:
             if primary_key not in relation.attributes:
                 raise ValueError(
@@ -97,6 +102,19 @@ class Database:
             )
         self.add_relation(relation, primary_key=primary_key)
         return relation
+
+    def estimator(self) -> "CardinalityEstimator":
+        """The database's one cardinality estimator, built on first use.
+
+        Every statistics consumer (cover ranking, the Eq. 5/6 cost model,
+        the baseline's join order) shares it, so each relation's distinct
+        counts are computed at most once.  ``add_relation`` drops it.
+        """
+        if self._estimator is None:
+            from repro.db.stats import CardinalityEstimator
+
+            self._estimator = CardinalityEstimator(self)
+        return self._estimator
 
     # -- lookup ---------------------------------------------------------------------
 

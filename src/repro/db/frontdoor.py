@@ -81,7 +81,8 @@ class QueryPlan:
     canonical (isomorphism-invariant) hypergraph fingerprint — the cache
     key isomorphic query shapes share.  ``node_plans`` carries the
     lowered Yannakakis plan: one entry per decomposition node with its
-    bag, chosen λ-cover and semi-join-enforced atoms.
+    bag, cost-ranked λ-cover and semi-join-enforced atoms.
+    :func:`run_query` executes exactly these plans; it does not re-plan.
     """
 
     query: ConjunctiveQuery
@@ -254,11 +255,11 @@ def run_query(
             elapsed=time.perf_counter() - started,
         )
 
-    executor = YannakakisExecutor(database, query)
-    run = executor.execute(
+    run = YannakakisExecutor(database, query).execute(
         plan.decomposition,
         materialize_result=query.aggregate is None,
         budget=budget,
+        plans=plan.node_plans,
     )
     if run.outcome.partial:
         return QueryResult(

@@ -17,15 +17,14 @@ of the paper, following the SQL-rewriting line of work it builds on):
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.tree import TreeNode
-from repro.core.covers import connected_covers, enumerate_covers, minimum_edge_cover
+from repro.core.covers import connected_covers, minimum_edge_cover
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.relation import Relation, WorkCounter
@@ -78,30 +77,96 @@ def atom_relation(database: Database, atom: Atom) -> Relation:
     )
 
 
+#: Ranks a candidate λ-cover, given as its atom aliases; lower is better.
+CoverCost = Callable[[Sequence[str]], float]
+
+
 def choose_cover(
     hypergraph: Hypergraph,
     bag: Bag,
     max_size: Optional[int] = None,
     prefer_connected: bool = True,
+    cost: Optional[CoverCost] = None,
 ) -> List[str]:
     """Pick a λ-cover (list of atom aliases) for a bag.
 
     Prefers a connected cover of minimal size when one exists (matching the
     ConCov constraint's intent); falls back to a minimum cover otherwise.
+    Among several minimum-size connected covers, ``cost`` ranks them (the
+    executor passes the estimated join cardinality); ties, and callers
+    without a ``cost``, go by alias names so the choice is deterministic.
+    ``cost`` is only called when there is a choice to make.
     """
     if not bag:
         return []
     limit = max_size if max_size is not None else hypergraph.num_edges()
     if prefer_connected:
         for size in range(1, limit + 1):
-            connected = connected_covers(hypergraph, bag, size)
+            connected = [
+                [edge.name for edge in cover]
+                for cover in connected_covers(hypergraph, bag, size)
+            ]
             if connected:
-                best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
-                return [edge.name for edge in best]
+                if cost is None or len(connected) == 1:
+                    return min(connected, key=lambda names: (len(names), names))
+                return min(
+                    connected, key=lambda names: (len(names), cost(names), names)
+                )
     cover = minimum_edge_cover(hypergraph, bag, upper_bound=limit)
     if cover is None:
         raise ValueError(f"bag {sorted(map(str, bag))} has no edge cover of size <= {limit}")
     return [edge.name for edge in cover]
+
+
+class CoverChooser:
+    """The one λ-cover rule for a query over a database, memoised per bag.
+
+    Covers are ranked by the estimated cardinality of their join
+    (:meth:`CardinalityEstimator.estimate_join_cardinality` of the
+    database's shared estimator), so a bag with several minimum-size
+    connected covers gets the one expected to materialise the fewest
+    rows.  A bag with a single candidate never touches statistics.
+    Without a ``database`` the choice is plain alias-name order.
+
+    The executor plans with it and the cost models of :mod:`repro.db.cost`
+    price with it, so Eq. 5/6 cost the join that actually runs.
+    """
+
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        database: Optional[Database] = None,
+        max_size: Optional[int] = None,
+        prefer_connected: bool = True,
+    ):
+        self.query = query
+        self.database = database
+        self.hypergraph = query.hypergraph()
+        self.max_size = max_size
+        self.prefer_connected = prefer_connected
+        self._covers: Dict[Bag, Tuple[str, ...]] = {}
+
+    def estimated_rows(self, aliases: Sequence[str]) -> float:
+        """The estimated cardinality of the join of the given atoms."""
+        assert self.database is not None
+        return self.database.estimator().estimate_join_cardinality(
+            [self.query.atom(alias) for alias in aliases]
+        )
+
+    def __call__(self, bag: Bag) -> Tuple[str, ...]:
+        cover = self._covers.get(bag)
+        if cover is None:
+            cover = tuple(
+                choose_cover(
+                    self.hypergraph,
+                    bag,
+                    max_size=self.max_size,
+                    prefer_connected=self.prefer_connected,
+                    cost=None if self.database is None else self.estimated_rows,
+                )
+            )
+            self._covers[bag] = cover
+        return cover
 
 
 @dataclass
@@ -120,7 +185,9 @@ class YannakakisRun:
 
     ``outcome.partial`` marks a run a budget cut short: ``result`` is then
     ``None`` (never a silently wrong partial answer) and the size maps
-    cover only the stages that completed.
+    cover only the stages that completed.  ``max_intermediate`` is the
+    largest relation the run built: cover joins, bag relations and every
+    step of answer extraction.
     """
 
     result: object
@@ -148,11 +215,13 @@ class YannakakisExecutor:
     ):
         self.database = database
         self.query = query
-        self.hypergraph = query.hypergraph()
-        self.max_cover_size = max_cover_size
-        self.prefer_connected = prefer_connected
+        self.covers = CoverChooser(
+            query,
+            database,
+            max_size=max_cover_size,
+            prefer_connected=prefer_connected,
+        )
         self._atom_relations: Dict[str, Relation] = {}
-        self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
 
     def _atom_relation(self, alias: str) -> Relation:
         if alias not in self._atom_relations:
@@ -163,27 +232,6 @@ class YannakakisExecutor:
 
     # -- planning -----------------------------------------------------------------
 
-    def _choose_cover(self, bag: Bag) -> List[str]:
-        """A λ-cover for ``bag``, memoised per bag.
-
-        Bags repeat across nodes in real decompositions (and across the many
-        decompositions one executor ranks), and ``connected_covers``
-        re-enumerates from scratch on every call — so the cache turns repeat
-        planning into a dict lookup.
-        """
-        cover = self._cover_cache.get(bag)
-        if cover is None:
-            cover = tuple(
-                choose_cover(
-                    self.hypergraph,
-                    bag,
-                    max_size=self.max_cover_size,
-                    prefer_connected=self.prefer_connected,
-                )
-            )
-            self._cover_cache[bag] = cover
-        return list(cover)
-
     def plan(self, decomposition: TreeDecomposition) -> List[NodePlan]:
         """Assign covers and atom enforcement to decomposition nodes."""
         nodes = decomposition.tree.nodes()
@@ -191,7 +239,7 @@ class YannakakisExecutor:
             NodePlan(
                 node=node,
                 bag=decomposition.bag(node),
-                cover=self._choose_cover(decomposition.bag(node)),
+                cover=list(self.covers(decomposition.bag(node))),
             )
             for node in nodes
         ]
@@ -223,8 +271,13 @@ class YannakakisExecutor:
         decomposition: TreeDecomposition,
         materialize_result: bool = False,
         budget: Optional[Budget] = None,
+        plans: Optional[List[NodePlan]] = None,
     ) -> YannakakisRun:
         """Run the three stages and return the aggregate (or materialised) result.
+
+        ``plans`` is :meth:`plan`'s output for ``decomposition`` when the
+        caller already has it (the query front door plans once per query);
+        without it the decomposition is planned here.
 
         With a ``budget``, work is metered in the engine's own units
         (tuples read + written, via :class:`BudgetedWorkCounter`) and the
@@ -235,8 +288,10 @@ class YannakakisExecutor:
         counter = WorkCounter() if budget is None else BudgetedWorkCounter(budget)
         start = time.perf_counter()
         try:
+            if plans is None:
+                plans = self.plan(decomposition)
             return self._execute_stages(
-                decomposition, materialize_result, counter, start
+                decomposition, plans, materialize_result, counter, start
             )
         except BudgetExceeded:
             pass
@@ -257,22 +312,21 @@ class YannakakisExecutor:
     def _execute_stages(
         self,
         decomposition: TreeDecomposition,
+        plans: List[NodePlan],
         materialize_result: bool,
         counter: WorkCounter,
         start: float,
     ) -> YannakakisRun:
-        plans = self.plan(decomposition)
-        plan_by_id = {plan.node.node_id: plan for plan in plans}
         bag_relations: Dict[int, Relation] = {}
         node_sizes: Dict[int, int] = {}
         max_intermediate = 0
 
         # Stage 1: local joins.
         for plan in plans:
-            relation = self._materialize_bag(plan, counter)
+            relation, largest = self._materialize_bag(plan, counter)
             bag_relations[plan.node.node_id] = relation
             node_sizes[plan.node.node_id] = len(relation)
-            max_intermediate = max(max_intermediate, len(relation))
+            max_intermediate = max(max_intermediate, largest)
 
         tree = decomposition.tree
         # Stage 2a: bottom-up semi-joins.
@@ -292,24 +346,22 @@ class YannakakisExecutor:
         }
 
         # Stage 3: answer extraction.
-        if materialize_result or self.query.aggregate is None:
-            result_relation = self._materialize_join(tree, bag_relations, counter)
-            max_intermediate = max(max_intermediate, len(result_relation))
-            if self.query.aggregate is None:
+        aggregate = self.query.aggregate
+        if (
+            materialize_result
+            or aggregate is None
+            or aggregate[0].upper() == "COUNT"
+        ):
+            result_relation, largest = self._materialize_join(
+                tree, bag_relations, counter
+            )
+            max_intermediate = max(max_intermediate, largest)
+            if aggregate is None:
                 result: object = result_relation
             else:
-                function, variable = self.query.aggregate
-                result = result_relation.aggregate(function, variable)
+                result = result_relation.aggregate(*aggregate)
         else:
-            function, variable = self.query.aggregate
-            if function.upper() == "COUNT":
-                result_relation = self._materialize_join(tree, bag_relations, counter)
-                max_intermediate = max(max_intermediate, len(result_relation))
-                result = result_relation.aggregate(function, variable)
-            else:
-                result = self._aggregate_from_reduced(
-                    plans, bag_relations, function, variable
-                )
+            result = self._aggregate_from_reduced(plans, bag_relations, *aggregate)
         wall_time = time.perf_counter() - start
         outcome = (
             counter.budget.outcome()
@@ -328,36 +380,56 @@ class YannakakisExecutor:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _materialize_bag(self, plan: NodePlan, counter: WorkCounter) -> Relation:
+    def _materialize_bag(
+        self, plan: NodePlan, counter: WorkCounter
+    ) -> Tuple[Relation, int]:
+        """The bag relation ``J_u`` and the largest relation built for it."""
         bag_attributes = sorted(map(str, plan.bag))
         if not plan.cover:
-            return self.database.new_relation(
+            relation = self.database.new_relation(
                 f"J{plan.node.node_id}",
                 bag_attributes,
                 [()] if not bag_attributes else [],
             )
+            return relation, len(relation)
         relation = self._atom_relation(plan.cover[0])
+        largest = len(relation)
         for alias in plan.cover[1:]:
             relation = relation.natural_join(self._atom_relation(alias), counter)
-        relation = relation.project(
-            [a for a in relation.attributes if a in plan.bag], counter
-        )
+            largest = max(largest, len(relation))
+        # Atom relations are duplicate-free and so is their natural join:
+        # when the cover has no attribute outside the bag, projecting is
+        # the identity and is skipped.
+        if len(relation.attributes) != len(plan.bag):
+            relation = relation.project(
+                [a for a in relation.attributes if a in plan.bag], counter
+            )
         for alias in plan.enforced_atoms:
             relation = relation.semijoin(self._atom_relation(alias), counter)
-        return relation
+        return relation, largest
 
     def _materialize_join(
         self,
         tree,
         bag_relations: Dict[int, Relation],
         counter: WorkCounter,
-    ) -> Relation:
+    ) -> Tuple[Relation, int]:
+        """The join of the reduced bag relations, and its largest step.
+
+        Nodes join in preorder, so every node meets a result that already
+        holds its parent's bag.  After the full reducer each step is then
+        the answer projected onto the nodes joined so far — never larger
+        than the output.  (Postorder would join sibling subtrees before
+        their parent, which can be a cross product.)
+        """
         result: Optional[Relation] = None
-        for node in tree.postorder():
+        largest = 0
+        for node in tree.preorder():
             relation = bag_relations[node.node_id]
             result = relation if result is None else result.natural_join(relation, counter)
+            largest = max(largest, len(result))
         assert result is not None
-        return result
+        return result, largest
 
     def _aggregate_from_reduced(
         self,

@@ -5,8 +5,18 @@ import pytest
 from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.enumerate import enumerate_ctds
 from repro.decompositions.td import TreeDecomposition
+from repro.db.cost import EstimateCostModel
+from repro.db.database import Database
 from repro.db.executor import BaselineExecutor, DecompositionExecutor
-from repro.db.yannakakis import YannakakisExecutor, atom_relation, choose_cover, run_yannakakis
+from repro.db.query import Atom, ConjunctiveQuery
+from repro.db.relation import Relation
+from repro.db.yannakakis import (
+    CoverChooser,
+    YannakakisExecutor,
+    atom_relation,
+    choose_cover,
+    run_yannakakis,
+)
 from tests.conftest import brute_force_triangle_count
 
 
@@ -114,3 +124,144 @@ class TestExecutorsAgree:
         assert baseline.max_intermediate >= 0
         assert baseline.wall_time >= 0.0
         assert "work" in repr(baseline)
+
+
+class TestAnswerExtraction:
+    """Extraction keeps Yannakakis' O(input + output) bound (regression).
+
+    Star query R(a,b), S(a,c), T(b,d) over n-row matchings with the bags
+    {a,b} ← {a,c}, {b,d}: the two leaves share no variable, so joining
+    them before their parent is an n² cross product for an n-row answer.
+    """
+
+    @staticmethod
+    def _star(n, aggregate=None):
+        database = Database()
+        for name in ("R", "S", "T"):
+            database.create_table(name, ["l", "r"], [(i, i) for i in range(n)])
+        query = ConjunctiveQuery(
+            [
+                Atom("R", "R", ("l", "r"), ("a", "b")),
+                Atom("S", "S", ("l", "r"), ("a", "c")),
+                Atom("T", "T", ("l", "r"), ("b", "d")),
+            ],
+            aggregate=aggregate,
+        )
+        decomposition = TreeDecomposition.from_bags(
+            query.hypergraph(), [{"a", "b"}, {"a", "c"}, {"b", "d"}], [None, 0, 0]
+        )
+        return database, query, decomposition
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_extraction_work_is_linear(self, n):
+        database, query, decomposition = self._star(n)
+        full = YannakakisExecutor(database, query).execute(decomposition)
+        # Same plan with a MIN aggregate reads the answer off a reduced
+        # bag, so the work difference is exactly answer extraction.
+        _, min_query, _ = self._star(n, aggregate=("MIN", "a"))
+        reduced = YannakakisExecutor(database, min_query).execute(decomposition)
+        assert len(full.result) == n
+        extraction = full.work - reduced.work
+        assert 0 < extraction <= 4 * (sum(full.reduced_sizes.values()) + n)
+
+    def test_reported_max_is_the_true_max(self, monkeypatch):
+        database, query, decomposition = self._star(100)
+        built = []
+        natural_join = Relation.natural_join
+
+        def recording_join(self, other, counter=None):
+            result = natural_join(self, other, counter)
+            built.append(len(result))
+            return result
+
+        monkeypatch.setattr(Relation, "natural_join", recording_join)
+        run = YannakakisExecutor(database, query).execute(decomposition)
+        assert built and max(built) == 100
+        assert run.max_intermediate == max(built + list(run.node_sizes.values()))
+
+    def test_reported_max_sees_the_cover_join(
+        self, triangle_database, triangle_query, triangle_td
+    ):
+        executor = YannakakisExecutor(triangle_database, triangle_query)
+        (plan,) = executor.plan(triangle_td)
+        first, second = (
+            atom_relation(triangle_database, triangle_query.atom(alias))
+            for alias in plan.cover
+        )
+        run = executor.execute(triangle_td)
+        # The triangle bag joins two atoms before the third is enforced,
+        # so the largest relation is that join, not the reduced bag.
+        assert run.max_intermediate == max(
+            len(first), len(second), len(first.natural_join(second))
+        )
+
+
+class TestCostRankedCovers:
+    @staticmethod
+    def _skewed_triangle():
+        """A(x,y), B(y,z), C(x,z) where y has one value: A ⋈ B is a product."""
+        database = Database()
+        database.create_table("A", ["p", "q"], [(i, 0) for i in range(30)])
+        database.create_table("B", ["p", "q"], [(0, i) for i in range(30)])
+        database.create_table("C", ["p", "q"], [(i, i) for i in range(30)])
+        query = ConjunctiveQuery(
+            [
+                Atom("A", "A", ("p", "q"), ("x", "y")),
+                Atom("B", "B", ("p", "q"), ("y", "z")),
+                Atom("C", "C", ("p", "q"), ("x", "z")),
+            ],
+            aggregate=("COUNT", "x"),
+        )
+        return database, query
+
+    def test_name_order_without_data(self):
+        _, query = self._skewed_triangle()
+        assert CoverChooser(query)(frozenset({"x", "y", "z"})) == ("A", "B")
+
+    def test_smallest_estimated_join_wins(self):
+        database, query = self._skewed_triangle()
+        chooser = CoverChooser(query, database)
+        cover = chooser(frozenset({"x", "y", "z"}))
+        assert len(cover) == 2 and cover != ("A", "B")
+        assert chooser.estimated_rows(cover) < chooser.estimated_rows(("A", "B"))
+
+    def test_ranked_plan_keeps_the_answer(self):
+        database, query = self._skewed_triangle()
+        decomposition = TreeDecomposition.single_bag(query.hypergraph())
+        run = run_yannakakis(database, query, decomposition)
+        assert run.result == BaselineExecutor(database, query).execute().result
+        assert run.max_intermediate < 30 * 30
+
+    def test_single_candidate_bags_build_no_estimator(self, monkeypatch):
+        database = Database()
+        database.create_table("R", ["a", "b"], [(1, 2)])
+        database.create_table("S", ["a", "b"], [(2, 3)])
+        query = ConjunctiveQuery(
+            [
+                Atom("R", "R", ("a", "b"), ("x", "y")),
+                Atom("S", "S", ("a", "b"), ("y", "z")),
+            ]
+        )
+        decomposition = TreeDecomposition.from_bags(
+            query.hypergraph(), [{"x", "y"}, {"y", "z"}], [None, 0]
+        )
+        monkeypatch.setattr(
+            database, "estimator", lambda: pytest.fail("estimator built")
+        )
+        plans = YannakakisExecutor(database, query).plan(decomposition)
+        assert [plan.cover for plan in plans] == [["R"], ["S"]]
+
+    def test_one_estimator_per_database(self):
+        database, query = self._skewed_triangle()
+        estimator = database.estimator()
+        assert database.estimator() is estimator
+        assert BaselineExecutor(database, query).estimator is estimator
+        assert EstimateCostModel(query, database).estimator is estimator
+        database.create_table("D", ["p"], [(1,)])
+        assert database.estimator() is not estimator
+
+    def test_cost_model_prices_the_executed_cover(self):
+        database, query = self._skewed_triangle()
+        bag = frozenset({"x", "y", "z"})
+        model = EstimateCostModel(query, database)
+        assert model.cover_of(bag) == CoverChooser(query, database)(bag)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines.acyclic import is_alpha_acyclic
 from repro.core.candidate_bags import SoftBagGenerator, soft_candidate_bags
-from repro.core.covers import connected_edge_set, minimum_edge_cover
+from repro.core.covers import connected_covers, connected_edge_set, minimum_edge_cover
 from repro.core.ctd import candidate_td
 from repro.core.soft import shw_leq, soft_hypertree_width
 from repro.hypergraph.components import (
@@ -18,6 +18,7 @@ from repro.hypergraph.components import (
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.db.relation import Relation
+from repro.db.yannakakis import choose_cover
 
 SETTINGS = settings(
     max_examples=25,
@@ -130,6 +131,44 @@ class TestCoverProperties:
         for edge in hypergraph.edges:
             cover = minimum_edge_cover(hypergraph, edge.vertices)
             assert len(cover) == 1
+
+    @SETTINGS
+    @given(small_hypergraphs(), st.data())
+    def test_ranked_cover_keeps_the_width_contract(self, hypergraph, data):
+        """Any cost ranking picks a connected cover of the name-ordered size."""
+        bag = frozenset(
+            data.draw(
+                st.sets(
+                    st.sampled_from(sorted(map(str, hypergraph.vertices))),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+        )
+        weights = data.draw(
+            st.dictionaries(
+                st.sampled_from([edge.name for edge in hypergraph.edges]),
+                st.floats(min_value=0, max_value=1e6),
+            )
+        )
+        calls = []
+
+        def cost(names):
+            calls.append(tuple(names))
+            return sum(weights.get(name, 1.0) for name in names)
+
+        named = choose_cover(hypergraph, bag)
+        ranked = choose_cover(hypergraph, bag, cost=cost)
+        edges = [hypergraph.edge(name) for name in ranked]
+        assert bag <= {vertex for edge in edges for vertex in edge.vertices}
+        assert len(ranked) == len(named)
+        candidates = connected_covers(hypergraph, bag, len(named))
+        if len(candidates) <= 1:
+            # No choice to make: the cost is never consulted.
+            assert ranked == named and not calls
+        if connected_edge_set([hypergraph.edge(name) for name in named]):
+            assert connected_edge_set(edges)
+            assert cost(ranked) == min(cost([e.name for e in c]) for c in candidates)
 
 
 class TestSoftBagProperties:
