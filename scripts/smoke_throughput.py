@@ -4,7 +4,7 @@ The scheduler's whole pitch — answer a duplicate-heavy query set faster
 *without* weakening certification — checked against real solver runs:
 
 1. a small workload query set (each benchmark query repeated) answered by
-   the batch scheduler at ``--shards 2 --workers 2`` is identical to a
+   the batch scheduler at ``--workers 2`` is identical to a
    serial one-``execute()``-per-query loop, and every served
    decomposition independently re-certifies against its own query's
    hypergraph,
@@ -12,29 +12,18 @@ The scheduler's whole pitch — answer a duplicate-heavy query set faster
    queries and a nonzero certified fan-out count; a second plan over the
    same set hits the in-process hot memo,
 3. the ``repro throughput`` CLI verb runs the same configuration and
-   exits 0,
-4. the supervisor's shared-memory reaper unlinks a stale segment left by
-   a SIGKILLed creator: after a kill-and-resume batch, ``/dev/shm`` holds
-   no ``repro-shm-`` leftovers.
+   exits 0.
 """
 
 import json
-import os
 import sys
-import tempfile
 
 from repro.cli import main as cli_main
 from repro.core.certify import certify_ctd, decomposition_from_payload
 from repro.core.solve import SolveRequest, constraint_object
-from repro.experiments.harness import (
-    BatchCertifier,
-    batch_task_specs,
-    execute_batch_task,
-)
-from repro.runtime.checkpoint import BatchLedger
+from repro.experiments.harness import batch_task_specs, execute_batch_task
 from repro.runtime.parallel import shutdown_pools
 from repro.runtime.scheduler import BatchSolvePlan, HotMemo, run_plan
-from repro.runtime.supervisor import RetryPolicy, Supervisor
 
 QUERIES = ["q_hto", "q_hto2"]
 SCALE = 0.3
@@ -51,18 +40,10 @@ def query_tasks():
     return [dict(task) for _ in range(REPEAT) for task in specs]
 
 
-def shm_leftovers():
-    return sorted(
-        name for name in os.listdir("/dev/shm") if name.startswith("repro-shm-")
-    )
-
-
 def check_parallel_matches_serial(tasks):
     serial = [execute_batch_task(dict(task, cache_off=True)) for task in tasks]
     try:
-        report = run_plan(
-            BatchSolvePlan.from_tasks(tasks), workers=2, shards=2, cache=None
-        )
+        report = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
     finally:
         shutdown_pools()
     for task, solo, wire in zip(tasks, serial, report.results):
@@ -139,55 +120,13 @@ def check_cli():
             str(REPEAT),
             "--workers",
             "2",
-            "--shards",
-            "2",
             "--no-cache",
         ]
     )
     shutdown_pools()
     if code != 0:
         fail(f"repro throughput exited {code}, expected 0")
-    print("CLI: repro throughput --workers 2 --shards 2 exits 0")
-
-
-def check_supervisor_reaps_segments():
-    """A stale segment from a SIGKILLed creator is gone after a batch."""
-    import subprocess
-    from multiprocessing import shared_memory
-
-    # A segment whose creator pid is certainly dead — the situation a
-    # SIGKILLed worker leaves behind (it never runs its own cleanup).
-    probe = subprocess.Popen(["sleep", "0"])
-    probe.wait()
-    stale_name = f"repro-shm-{probe.pid}-deadbeef"
-    segment = shared_memory.SharedMemory(name=stale_name, create=True, size=64)
-    segment.close()
-    # Ownership is being handed to the (dead) probe pid: drop our own
-    # resource-tracker registration so the reaper is the one to unlink it.
-    from multiprocessing import resource_tracker
-
-    resource_tracker.unregister(segment._name, "shared_memory")
-
-    specs = batch_task_specs(queries=QUERIES, scale=SCALE, shards=2)
-    crashing = [dict(specs[0], faults={"*": {"kind": "sigkill"}}), specs[1]]
-    with tempfile.TemporaryDirectory() as tmp:
-        ledger_path = os.path.join(tmp, "batch.jsonl")
-        supervisor = Supervisor(
-            certifier=BatchCertifier(),
-            max_workers=2,
-            hard_timeout=120.0,
-            retry=RetryPolicy(max_attempts=1, base_delay=0.05, jitter=0.0),
-        )
-        first = supervisor.run(crashing, ledger=BatchLedger(ledger_path))
-        statuses = {r.task["query"]: r.status for r in first.results}
-        if statuses != {QUERIES[0]: "failed", QUERIES[1]: "ok"}:
-            fail(f"crashing sharded batch had unexpected statuses: {statuses}")
-    leftovers = shm_leftovers()
-    if stale_name in leftovers:
-        fail("supervisor reaper left the dead creator's segment behind")
-    if leftovers:
-        fail(f"/dev/shm leaks after the kill-and-resume batch: {leftovers}")
-    print("reaper: SIGKILL-orphaned segment unlinked, /dev/shm clean")
+    print("CLI: repro throughput --workers 2 exits 0")
 
 
 def main() -> None:
@@ -195,7 +134,6 @@ def main() -> None:
     report = check_parallel_matches_serial(tasks)
     check_hot_memo(tasks, report)
     check_cli()
-    check_supervisor_reaps_segments()
     print("OK: throughput smoke passed")
 
 

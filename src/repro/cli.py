@@ -392,7 +392,6 @@ def _cmd_batch(args, out) -> int:
             seed=args.seed,
             deadline=args.timeout,
             max_work=args.max_work,
-            shards=args.shards,
         )
     except KeyError as exc:
         raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
@@ -431,7 +430,6 @@ def _cmd_throughput(args, out) -> int:
             seed=args.seed,
             deadline=args.timeout,
             max_work=args.max_work,
-            shards=args.shards,
         )
     except KeyError as exc:
         raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
@@ -445,7 +443,6 @@ def _cmd_throughput(args, out) -> int:
     report = run_plan(
         plan,
         workers=args.workers,
-        shards=args.shards,
         cache=None if args.no_cache else "auto",
     )
     summary = report.summary()
@@ -777,13 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="concurrent worker processes"
     )
     batch.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="intra-solve shard count per worker (pre-fixpoint stages); "
-        "non-semantic, so resumed ledgers still match",
-    )
-    batch.add_argument(
         "--retries",
         type=int,
         default=2,
@@ -829,12 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes for representative solves (0/1 = inline)",
-    )
-    throughput.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="intra-solve shard count (pre-fixpoint stages)",
     )
     throughput.add_argument(
         "--repeat",

@@ -181,8 +181,6 @@ class SoftBagGenerator:
         k: int,
         max_subedges: Optional[int] = None,
         budget: Optional[Budget] = None,
-        shards: int = 1,
-        pool=None,
     ):
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -190,21 +188,8 @@ class SoftBagGenerator:
         self.k = k
         self.max_subedges = max_subedges
         self.budget = budget
-        # ``shards > 1`` stripes the component/cover enumeration frontiers
-        # (repro.runtime.parallel); ``pool`` is a ShardPool for real process
-        # parallelism, ``None`` runs the stripes inline.  Either way the
-        # merged sets are byte-identical to the serial enumeration.
-        self.shards = max(1, int(shards))
-        self._pool = pool
         self._indexer = hypergraph.bitsets.indexer
-        if self.shards > 1:
-            from repro.runtime.parallel import parallel_component_union_masks
-
-            component_unions = parallel_component_union_masks(
-                hypergraph, k, self.shards, pool=self._pool, budget=budget
-            )
-        else:
-            component_unions = _component_union_masks(hypergraph, k, budget)
+        component_unions = _component_union_masks(hypergraph, k, budget)
         self._component_masks: Tuple[int, ...] = tuple(sorted(component_unions))
         # E^(0) is the original edge set (as vertex masks).
         self._subedge_levels: List[Set[int]] = [set(hypergraph.bitsets.edge_masks)]
@@ -233,14 +218,7 @@ class SoftBagGenerator:
 
     def _soft_from_subedges(self, subedge_masks: Set[int]) -> Set[int]:
         """``{ (⋃λ1) ∩ (⋃C) }`` for λ1 of ≤ k subedges and C over components."""
-        if self.shards > 1:
-            from repro.runtime.parallel import parallel_cover_union_masks
-
-            unions = parallel_cover_union_masks(
-                subedge_masks, self.k, self.shards, pool=self._pool, budget=self.budget
-            )
-        else:
-            unions = _cover_union_masks(subedge_masks, self.k, self.budget)
+        unions = _cover_union_masks(subedge_masks, self.k, self.budget)
         if self.budget is not None and self.budget.exhausted:
             self.truncated = True
         if not self._pre_charge(len(unions)):

@@ -1,253 +1,28 @@
-"""Intra-solve sharding: process pools, shared-memory mask shipping, stripes.
+"""The batch scheduler's worker pool.
 
-The two embarrassingly-parallel pre-fixpoint stages of a solve — candidate
-bag enumeration (:mod:`repro.core.candidate_bags`) and per-block probe-table
-construction (:meth:`repro.core.options.SolverCore.probe_tables`) — are both
-"loop over an indexed frontier, compute per-item results on read-only mask
-tables, union the results".  This module shards those loops by *stripe*
-(item ``i`` goes to shard ``i % shards``) across a ``multiprocessing`` spawn
-pool:
-
-* **Inputs travel by shared memory, not pickle.**  The read-only int-mask
-  tables (edge masks, block-index arrays) are packed into one
-  ``multiprocessing.shared_memory`` segment as an ``(n, limbs)`` uint64
-  limb array (:class:`SharedMaskBundle`); a worker attaches by name and
-  reconstructs the Python ints.  Only the (much smaller) per-shard result
-  sets are pickled back.
-* **Merges are deterministic.**  Stripes partition the enumeration frontier
-  exactly — each ≤k-edge subset is explored under the stripe of its
-  smallest starting index, each block id under ``block_id % shards`` — and
-  results are merged as sorted-mask unions / ascending-block-id
-  concatenations, so a sharded run is byte-for-byte identical to the
-  serial one.
-* **Budgets are respected.**  Each shard runs under a *sub-budget* (an
-  equal split of the remaining work cap plus the remaining wall-clock
-  allowance); shard outcomes are folded back into the parent budget with
-  :meth:`repro.runtime.budget.Budget.absorb`, so exhaustion in any shard
-  yields the same anytime under-approximation contract as serial
-  (candidate bags: a sound subset; probe tables: ``BudgetExceeded`` at the
-  solver's anytime boundary).
-
-``pool=None`` runs the same stripe/merge code path inline in-process — the
-equivalence property suite uses this to pin striping correctness
-independently of process-pool plumbing, and small inputs stay on it to
-avoid IPC overhead (:data:`MIN_PARALLEL_ITEMS`).
-
-Shared-memory lifecycle
------------------------
-
-Segments are named ``repro-shm-<creator pid>-<random>``.  The creator
-unlinks in a ``finally``; workers attach read-only and *unregister* the
-attachment from :mod:`multiprocessing.resource_tracker` (on Python < 3.13
-an attach registers the segment, and the tracker would unlink it again at
-worker exit — double-unlink warnings and premature removal for segments
-the parent still owns).  If the creator is SIGKILLed between create and
-unlink, the name scheme makes the leak discoverable:
-:func:`reap_stale_segments` scans ``/dev/shm`` for ``repro-shm-<pid>-*``
-segments whose creator pid is dead and unlinks them — the batch
-supervisor calls it after every hard kill and at end of run.
+:func:`repro.runtime.scheduler.run_plan` fans its pending representative
+solves out over a ``multiprocessing`` spawn pool.  Spawning a worker costs
+hundreds of milliseconds, so pools are cached per worker count
+(:func:`get_pool`) and torn down at interpreter exit (:func:`shutdown_pools`).
 """
 
 from __future__ import annotations
 
 import atexit
-import os
-import uuid
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict
 
-from repro.runtime.budget import Budget, BudgetExceeded
-
-try:  # pragma: no cover - the toolchain ships numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-try:
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - shared_memory ships with >= 3.8
-    _shm = None
-
-__all__ = [
-    "SharedMaskBundle",
-    "ShardPool",
-    "get_pool",
-    "shutdown_pools",
-    "reap_stale_segments",
-    "parallel_component_union_masks",
-    "parallel_cover_union_masks",
-    "parallel_probe_tables",
-    "split_budget",
-    "MIN_PARALLEL_ITEMS",
-]
-
-#: Below this many frontier items a process pool cannot win (IPC + attach
-#: overhead dominates); the parallel entry points fall back to the inline
-#: stripe runner, which is still byte-identical to serial.
-MIN_PARALLEL_ITEMS = 64
-
-_SEGMENT_PREFIX = "repro-shm-"
-
-
-# -- shared-memory mask shipping ----------------------------------------------
-
-
-def _masks_to_limb_rows(masks: Sequence[int], limbs: int, out, offset: int) -> None:
-    word = (1 << 64) - 1
-    for i, mask in enumerate(masks):
-        row = offset + i
-        for j in range(limbs):
-            out[row, j] = (mask >> (64 * j)) & word
-
-
-def _limb_rows_to_masks(rows) -> List[int]:
-    limbs = rows.shape[1]
-    result = []
-    for row in rows:
-        mask = 0
-        for j in range(limbs - 1, -1, -1):
-            mask = (mask << 64) | int(row[j])
-        result.append(mask)
-    return result
-
-
-class SharedMaskBundle:
-    """Named int-mask tables in one shared-memory segment.
-
-    ``create`` packs the tables into a single ``(total rows, limbs)``
-    uint64 limb array backed by :class:`multiprocessing.shared_memory.
-    SharedMemory`; :meth:`handle` is the small picklable descriptor a
-    worker passes to :meth:`attach`.  The creator owns the segment and
-    must call :meth:`unlink` (callers do it in a ``finally``); workers
-    call :meth:`close` only.
-    """
-
-    def __init__(self, shm, meta: Dict[str, Tuple[int, int]], limbs: int, owner: bool):
-        self._shm = shm
-        self._meta = meta
-        self._limbs = limbs
-        self._owner = owner
-        total = sum(count for _, count in meta.values())
-        self._array = _np.ndarray(
-            (total, max(1, limbs)), dtype=_np.uint64, buffer=shm.buf
-        )
-
-    @classmethod
-    def create(cls, tables: Dict[str, Sequence[int]]) -> "SharedMaskBundle":
-        if _np is None or _shm is None:  # pragma: no cover - numpy is baked in
-            raise RuntimeError("shared-memory mask shipping needs numpy")
-        bits = 1
-        for masks in tables.values():
-            for mask in masks:
-                bits = max(bits, mask.bit_length())
-        limbs = max(1, (bits + 63) // 64)
-        meta: Dict[str, Tuple[int, int]] = {}
-        offset = 0
-        for name, masks in tables.items():
-            meta[name] = (offset, len(masks))
-            offset += len(masks)
-        total = max(1, offset)
-        name = f"{_SEGMENT_PREFIX}{os.getpid()}-{uuid.uuid4().hex[:12]}"
-        shm = _shm.SharedMemory(name=name, create=True, size=total * limbs * 8)
-        bundle = cls(shm, meta, limbs, owner=True)
-        for table, masks in tables.items():
-            start, _ = meta[table]
-            _masks_to_limb_rows(masks, limbs, bundle._array, start)
-        return bundle
-
-    def handle(self) -> Dict[str, object]:
-        """The picklable attach descriptor (segment name + layout)."""
-        return {"name": self._shm.name, "meta": self._meta, "limbs": self._limbs}
-
-    @classmethod
-    def attach(cls, handle: Dict[str, object]) -> "SharedMaskBundle":
-        # On Python < 3.13 an attach registers the segment with the
-        # resource tracker, which would unlink it again at worker exit
-        # while the creating parent still owns it (and confuse the
-        # tracker's bookkeeping for the parent's own registration — the
-        # tracker process is shared).  Suppress the registration for the
-        # duration of the attach; the parent's ``unlink`` is the single
-        # point of removal.
-        from multiprocessing import resource_tracker
-
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            shm = _shm.SharedMemory(name=str(handle["name"]), create=False)
-        finally:
-            resource_tracker.register = original_register
-        return cls(shm, dict(handle["meta"]), int(handle["limbs"]), owner=False)
-
-    def masks(self, table: str) -> List[int]:
-        """Reconstruct one named table as Python ints."""
-        start, count = self._meta[table]
-        return _limb_rows_to_masks(self._array[start : start + count])
-
-    def close(self) -> None:
-        self._array = None
-        try:
-            self._shm.close()
-        except Exception:  # pragma: no cover
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment (creator only); safe to call once."""
-        self.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - reaper raced us
-                pass
-
-
-def reap_stale_segments(shm_dir: str = "/dev/shm") -> List[str]:
-    """Unlink ``repro-shm-*`` segments whose creator process is dead.
-
-    The segment name embeds the creator pid, so a segment leaked by a
-    SIGKILLed worker/parent (killed between create and the ``finally``
-    unlink) is identifiable without any registry.  Returns the names
-    removed.  Safe to call concurrently — racing unlinks are tolerated.
-    """
-    removed: List[str] = []
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:  # pragma: no cover - non-Linux / no tmpfs
-        return removed
-    for name in names:
-        if not name.startswith(_SEGMENT_PREFIX):
-            continue
-        parts = name[len(_SEGMENT_PREFIX) :].split("-", 1)
-        try:
-            pid = int(parts[0])
-        except (IndexError, ValueError):
-            continue
-        alive = True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            alive = False
-        except PermissionError:  # pragma: no cover - someone else's pid
-            alive = True
-        if alive:
-            continue
-        try:
-            os.unlink(os.path.join(shm_dir, name))
-            removed.append(name)
-        except OSError:  # pragma: no cover - racing reaper
-            pass
-    return removed
-
-
-# -- the shard pool ------------------------------------------------------------
+__all__ = ["ShardPool", "get_pool", "shutdown_pools"]
 
 
 class ShardPool:
-    """A persistent spawn-context worker pool for intra-solve shards.
+    """A persistent spawn-context worker pool for the batch scheduler.
 
     Spawn (not fork): the solver may run under numpy/BLAS threads and
     inside the supervised batch runtime, where forked children inherit
-    undefined lock state.  The pool is reused across solves (spawn costs
-    hundreds of ms per worker), so callers get it from :func:`get_pool`
-    rather than constructing one per solve.
+    undefined lock state.  The pool is reused across batches, so callers
+    get it from :func:`get_pool` rather than constructing one per batch.
+    The class keeps its historical name because the benchmark harness
+    traces ``ShardPool.map`` as the pool-wait layer.
     """
 
     def __init__(self, workers: int):
@@ -271,7 +46,7 @@ _POOLS: Dict[int, ShardPool] = {}
 
 
 def get_pool(workers: int) -> ShardPool:
-    """The cached process pool for ``workers`` shards (created on first use)."""
+    """The cached process pool with ``workers`` processes (created on first use)."""
     workers = max(1, int(workers))
     pool = _POOLS.get(workers)
     if pool is None:
@@ -288,444 +63,3 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
-
-
-# -- budgets across the process boundary --------------------------------------
-
-
-def split_budget(
-    budget: Optional[Budget], shards: int
-) -> Tuple[Optional[float], Optional[int]]:
-    """``(remaining deadline seconds, per-shard work cap)`` for shard budgets.
-
-    Deadlines cross the process boundary as *remaining seconds* (a worker
-    cannot share the parent's monotonic clock); the work cap is an equal
-    split of the remaining units so the shards together never exceed the
-    parent's cap.
-    """
-    if budget is None:
-        return (None, None)
-    deadline = None
-    if budget.deadline is not None:
-        deadline = max(0.0, budget.deadline - budget.elapsed())
-    max_work = None
-    remaining = budget.remaining_work()
-    if remaining is not None:
-        max_work = max(1, remaining // max(1, shards))
-    return (deadline, max_work)
-
-
-def _shard_budget(deadline: Optional[float], max_work: Optional[int]) -> Optional[Budget]:
-    if deadline is None and max_work is None:
-        return None
-    return Budget(deadline=deadline, max_work=max_work)
-
-
-# -- mask-only kernels in workers ---------------------------------------------
-
-
-def _mask_kernel(num_vertices: int, edge_masks: Sequence[int]):
-    """A mask-level :class:`HypergraphBitsets` for worker-side components.
-
-    Workers never see vertex objects — rebuilding a ``VertexIndexer`` over
-    surrogate vertices would scramble bit positions (the indexer sorts by
-    ``str``).  This kernel carries only what the mask algebra needs:
-    ``edge_masks``, the incidence direction, the universe and the
-    component caches.  ``indexer`` is ``None`` — any call that would
-    materialise vertices is a bug.
-    """
-    from repro.hypergraph.bitset import HypergraphBitsets, iter_bits
-
-    kernel = HypergraphBitsets.__new__(HypergraphBitsets)
-    kernel.indexer = None
-    kernel.edge_masks = tuple(edge_masks)
-    kernel.edge_mask_by_name = {}
-    incident = [0] * num_vertices
-    for edge_index, mask in enumerate(kernel.edge_masks):
-        edge_bit = 1 << edge_index
-        for b in iter_bits(mask):
-            incident[b] |= edge_bit
-    kernel.incident_edge_masks = tuple(incident)
-    kernel.universe = (1 << num_vertices) - 1
-    kernel._component_cache = {}
-    kernel._component_union_cache = {}
-    return kernel
-
-
-# -- stripe runners (shared by inline and pool execution) ---------------------
-
-
-def _striped_component_unions(
-    kernel, k: int, shard: int, shards: int, budget: Optional[Budget]
-) -> Set[int]:
-    """Shard ``shard``'s slice of ``_component_union_masks``.
-
-    Stripe invariant: every non-empty ≤k-edge separator is enumerated
-    exactly once globally, under the stripe of its smallest edge index;
-    shard 0 additionally owns the ``λ2 = ∅`` seed.  ``separators_seen``
-    is per-shard memoisation only — a separator reachable in two shards
-    is just computed twice, and the result union collapses duplicates —
-    so the union over shards equals the serial result exactly.
-    """
-    edge_masks = kernel.edge_masks
-    limit = min(k, len(edge_masks))
-    result: Set[int] = set()
-    separators_seen: Set[int] = {0}
-    if shard == 0:
-        result.update(kernel.component_unions(0))
-
-    def extend(start: int, union: int, size: int) -> bool:
-        for i in range(start, len(edge_masks)):
-            if budget is not None and not budget.try_tick():
-                return False
-            mask = edge_masks[i]
-            extended = union | mask
-            if extended == union:
-                continue
-            if extended not in separators_seen:
-                separators_seen.add(extended)
-                result.update(kernel.component_unions(extended))
-            if size + 1 < limit and not extend(i + 1, extended, size + 1):
-                return False
-        return True
-
-    if limit >= 1:
-        for i in range(shard, len(edge_masks), max(1, shards)):
-            if budget is not None and not budget.try_tick():
-                break
-            extended = edge_masks[i]
-            if not extended:
-                continue
-            if extended not in separators_seen:
-                separators_seen.add(extended)
-                result.update(kernel.component_unions(extended))
-            if limit > 1 and not extend(i + 1, extended, 1):
-                break
-    return result
-
-
-def _striped_cover_unions(
-    distinct: Sequence[int], k: int, shard: int, shards: int, budget: Optional[Budget]
-) -> Set[int]:
-    """Shard ``shard``'s slice of ``_cover_union_masks`` (``distinct`` sorted)."""
-    result: Set[int] = set()
-
-    def extend(start: int, union: int, size: int) -> bool:
-        for i in range(start, len(distinct)):
-            if budget is not None and not budget.try_tick():
-                return False
-            extended = union | distinct[i]
-            if size and extended == union:
-                continue
-            result.add(extended)
-            if size + 1 < k and not extend(i + 1, extended, size + 1):
-                return False
-        return True
-
-    if k >= 1:
-        for i in range(shard, len(distinct), max(1, shards)):
-            if budget is not None and not budget.try_tick():
-                break
-            extended = distinct[i]
-            result.add(extended)
-            if k > 1 and not extend(i + 1, extended, 1):
-                break
-    return result
-
-
-def _rebuild_head_to_block_ids(head_masks: Sequence[int]) -> Dict[int, List[int]]:
-    """``head mask → block ids``; registration order equals id order."""
-    mapping: Dict[int, List[int]] = {}
-    for block_id, head_mask in enumerate(head_masks):
-        mapping.setdefault(head_mask, []).append(block_id)
-    return mapping
-
-
-def _striped_probe_tables(
-    head_masks: Sequence[int],
-    component_masks: Sequence[int],
-    union_masks: Sequence[int],
-    touching_masks: Sequence[int],
-    candidate_masks: Sequence[int],
-    head_to_block_ids: Dict[int, List[int]],
-    shard: int,
-    shards: int,
-    budget: Optional[Budget],
-) -> Tuple[List[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]], bool]:
-    """``[(block id, probes)]`` for the shard's block stripe.
-
-    Replicates :meth:`BlockIndex.candidate_probes` /
-    :meth:`BlockIndex._compute_basis_sub_ids` on the plain mask arrays —
-    the computation is a pure function of those arrays.  The second
-    return value is ``False`` when the shard's sub-budget exhausted
-    mid-stripe (the returned prefix is still exact).
-    """
-    results: List[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]] = []
-    for block_id in range(shard, len(head_masks), max(1, shards)):
-        if not component_masks[block_id]:
-            continue
-        if budget is not None and not budget.try_tick():
-            return results, False
-        block_union = union_masks[block_id]
-        block_component = component_masks[block_id]
-        block_head = head_masks[block_id]
-        not_union = ~block_union
-        probes: List[Tuple[int, Tuple[int, ...]]] = []
-        for cand_id, candidate_mask in enumerate(candidate_masks):
-            if candidate_mask & not_union:
-                continue
-            if candidate_mask == block_head:
-                continue
-            covered = candidate_mask
-            subs: List[int] = []
-            for sub_id in head_to_block_ids.get(candidate_mask, ()):
-                if (union_masks[sub_id] & ~block_union) == 0 and (
-                    component_masks[sub_id] & ~block_component
-                ) == 0:
-                    subs.append(sub_id)
-                    covered |= component_masks[sub_id]
-            if block_component & ~covered:
-                continue
-            if touching_masks[block_id] & ~covered:
-                continue
-            probes.append(
-                (cand_id, tuple(s for s in subs if component_masks[s]))
-            )
-        results.append((block_id, tuple(probes)))
-    return results, True
-
-
-# -- pool worker entry points (module-level for spawn pickling) ----------------
-
-
-def _component_shard_worker(args):
-    handle, num_vertices, k, shard, shards, deadline, max_work = args
-    bundle = SharedMaskBundle.attach(handle)
-    try:
-        kernel = _mask_kernel(num_vertices, bundle.masks("edge_masks"))
-        budget = _shard_budget(deadline, max_work)
-        result = _striped_component_unions(kernel, k, shard, shards, budget)
-        status = budget.status if budget is not None else "complete"
-        work = budget.work if budget is not None else 0
-        return (sorted(result), status, work)
-    finally:
-        bundle.close()
-
-
-def _cover_shard_worker(args):
-    handle, k, shard, shards, deadline, max_work = args
-    bundle = SharedMaskBundle.attach(handle)
-    try:
-        distinct = bundle.masks("distinct")
-        budget = _shard_budget(deadline, max_work)
-        result = _striped_cover_unions(distinct, k, shard, shards, budget)
-        status = budget.status if budget is not None else "complete"
-        work = budget.work if budget is not None else 0
-        return (sorted(result), status, work)
-    finally:
-        bundle.close()
-
-
-def _probe_shard_worker(args):
-    handle, shard, shards, deadline, max_work = args
-    bundle = SharedMaskBundle.attach(handle)
-    try:
-        head_masks = bundle.masks("head_masks")
-        component_masks = bundle.masks("component_masks")
-        union_masks = bundle.masks("union_masks")
-        touching_masks = bundle.masks("touching_masks")
-        candidate_masks = bundle.masks("candidate_masks")
-        budget = _shard_budget(deadline, max_work)
-        results, complete = _striped_probe_tables(
-            head_masks,
-            component_masks,
-            union_masks,
-            touching_masks,
-            candidate_masks,
-            _rebuild_head_to_block_ids(head_masks),
-            shard,
-            shards,
-            budget,
-        )
-        status = budget.status if budget is not None else "complete"
-        work = budget.work if budget is not None else 0
-        if not complete and status == "complete":  # pragma: no cover - defensive
-            status = "budget_exhausted"
-        return (results, status, work)
-    finally:
-        bundle.close()
-
-
-# -- parallel entry points -----------------------------------------------------
-
-
-def _absorb_shard(budget: Optional[Budget], work: int, status: str) -> None:
-    if budget is not None:
-        budget.absorb(work, status)
-
-
-def parallel_component_union_masks(
-    hypergraph,
-    k: int,
-    shards: int,
-    pool: Optional[ShardPool] = None,
-    budget: Optional[Budget] = None,
-) -> Set[int]:
-    """Sharded :func:`repro.core.candidate_bags._component_union_masks`.
-
-    With ``pool=None`` the stripes run inline (still one stripe per
-    shard, merged identically); with a pool the edge-mask table ships by
-    shared memory and stripes run in worker processes.  Without budget
-    exhaustion the result equals the serial enumeration exactly; an
-    exhausted (sub-)budget yields a sound subset and marks the parent
-    budget via :meth:`Budget.absorb`.
-    """
-    bitsets = hypergraph.bitsets
-    shards = max(1, int(shards))
-    if pool is None or shards == 1 or len(bitsets.edge_masks) < MIN_PARALLEL_ITEMS:
-        result: Set[int] = set()
-        deadline, max_work = split_budget(budget, shards)
-        for shard in range(shards):
-            shard_budget = _shard_budget(deadline, max_work)
-            result |= _striped_component_unions(
-                bitsets, k, shard, shards, shard_budget if budget is not None else None
-            )
-            if budget is not None and shard_budget is not None:
-                _absorb_shard(budget, shard_budget.work, shard_budget.status)
-        return result
-    bundle = SharedMaskBundle.create({"edge_masks": list(bitsets.edge_masks)})
-    try:
-        deadline, max_work = split_budget(budget, shards)
-        handle = bundle.handle()
-        num_vertices = len(bitsets.indexer)
-        outputs = pool.map(
-            _component_shard_worker,
-            [
-                (handle, num_vertices, k, shard, shards, deadline, max_work)
-                for shard in range(shards)
-            ],
-        )
-    finally:
-        bundle.unlink()
-    result = set()
-    for masks, status, work in outputs:
-        result.update(masks)
-        _absorb_shard(budget, work, status)
-    return result
-
-
-def parallel_cover_union_masks(
-    vertex_set_masks: Iterable[int],
-    k: int,
-    shards: int,
-    pool: Optional[ShardPool] = None,
-    budget: Optional[Budget] = None,
-) -> Set[int]:
-    """Sharded :func:`repro.core.candidate_bags._cover_union_masks`."""
-    distinct = sorted(set(vertex_set_masks))
-    shards = max(1, int(shards))
-    if pool is None or shards == 1 or len(distinct) < MIN_PARALLEL_ITEMS:
-        result: Set[int] = set()
-        deadline, max_work = split_budget(budget, shards)
-        for shard in range(shards):
-            shard_budget = _shard_budget(deadline, max_work)
-            result |= _striped_cover_unions(
-                distinct, k, shard, shards, shard_budget if budget is not None else None
-            )
-            if budget is not None and shard_budget is not None:
-                _absorb_shard(budget, shard_budget.work, shard_budget.status)
-        return result
-    bundle = SharedMaskBundle.create({"distinct": distinct})
-    try:
-        deadline, max_work = split_budget(budget, shards)
-        handle = bundle.handle()
-        outputs = pool.map(
-            _cover_shard_worker,
-            [(handle, k, shard, shards, deadline, max_work) for shard in range(shards)],
-        )
-    finally:
-        bundle.unlink()
-    result = set()
-    for masks, status, work in outputs:
-        result.update(masks)
-        _absorb_shard(budget, work, status)
-    return result
-
-
-def parallel_probe_tables(
-    index,
-    shards: int,
-    pool: Optional[ShardPool] = None,
-    budget: Optional[Budget] = None,
-):
-    """Sharded :meth:`repro.core.options.SolverCore.probe_tables` body.
-
-    Returns the same ``(probes, parents)`` structure byte-for-byte:
-    block-id stripes are merged in ascending block order, so the
-    ``parents`` adjacency lists come out in the exact order the serial
-    loop appends them.  A shard whose sub-budget exhausts surfaces as
-    :class:`BudgetExceeded` on the parent budget — identical to the
-    serial contract (the solver's anytime boundary handles it, the memo
-    stays unpopulated).
-    """
-    head_masks, component_masks, union_masks, touching_masks = index.mask_arrays()
-    candidate_masks = index.candidate_masks
-    block_count = index.block_count()
-    shards = max(1, int(shards))
-    merged: List[Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]] = []
-    if pool is None or shards == 1 or block_count < MIN_PARALLEL_ITEMS:
-        deadline, max_work = split_budget(budget, shards)
-        for shard in range(shards):
-            shard_budget = _shard_budget(deadline, max_work) if budget is not None else None
-            results, _complete = _striped_probe_tables(
-                head_masks,
-                component_masks,
-                union_masks,
-                touching_masks,
-                candidate_masks,
-                _rebuild_head_to_block_ids(head_masks),
-                shard,
-                shards,
-                shard_budget,
-            )
-            merged.extend(results)
-            if budget is not None and shard_budget is not None:
-                _absorb_shard(budget, shard_budget.work, shard_budget.status)
-    else:
-        bundle = SharedMaskBundle.create(
-            {
-                "head_masks": list(head_masks),
-                "component_masks": list(component_masks),
-                "union_masks": list(union_masks),
-                "touching_masks": list(touching_masks),
-                "candidate_masks": list(candidate_masks),
-            }
-        )
-        try:
-            deadline, max_work = split_budget(budget, shards)
-            handle = bundle.handle()
-            outputs = pool.map(
-                _probe_shard_worker,
-                [
-                    (handle, shard, shards, deadline, max_work)
-                    for shard in range(shards)
-                ],
-            )
-        finally:
-            bundle.unlink()
-        for results, status, work in outputs:
-            merged.extend(results)
-            _absorb_shard(budget, work, status)
-    if budget is not None and budget.exhausted:
-        raise BudgetExceeded(budget.status, budget.work, budget.elapsed())
-    merged.sort(key=lambda item: item[0])
-    probes: List[Tuple[Tuple[int, Tuple[int, ...]], ...]] = [()] * block_count
-    parents: Dict[int, List[int]] = {}
-    for block_id, block_probes in merged:
-        probes[block_id] = block_probes
-        for _, live_subs in block_probes:
-            for sub in live_subs:
-                dependents = parents.setdefault(sub, [])
-                if not dependents or dependents[-1] != block_id:
-                    dependents.append(block_id)
-    return probes, parents

@@ -36,6 +36,7 @@ individually under their own caps.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -254,7 +255,7 @@ def _wire(item: PlanItem, result, cache_label: str) -> Dict[str, object]:
     return wire
 
 
-def _solve_inline(item: PlanItem, cache, shards: int, pool) -> "object":
+def _solve_inline(item: PlanItem, cache) -> "object":
     from repro.core.solve import DATA_PREFERENCES, execute
 
     database = query = None
@@ -269,14 +270,7 @@ def _solve_inline(item: PlanItem, cache, shards: int, pool) -> "object":
             scale=float(item.task.get("scale") or 1.0),
             seed=item.task.get("seed"),
         )
-    return execute(
-        item.request,
-        database=database,
-        query=query,
-        cache=cache,
-        shards=shards,
-        pool=pool,
-    )
+    return execute(item.request, database=database, query=query, cache=cache)
 
 
 def _record_from_result(item: PlanItem, result) -> Optional[Dict[str, object]]:
@@ -307,17 +301,17 @@ def _fan_out(
     return _wire(member, served, label)
 
 
-def _pool_payload(item: PlanItem, shards: int, cache) -> Dict[str, object]:
+def _pool_payload(item: PlanItem, cache_dir: Optional[str]) -> Dict[str, object]:
     payload = dict(item.task)
     payload["request"] = item.request.to_payload()
     payload.setdefault("mode", "ranked")
-    payload["shards"] = shards
-    # The worker must mirror this plan's cache decision: a cache=None run
-    # (benchmarks, equivalence tests) would otherwise read and write the
-    # persistent cache through its workers.  (Custom cache objects are not
-    # shipped — workers then use their default resolution.)
-    if cache is None:
+    # The worker must use exactly this plan's cache: a cache-less run
+    # (benchmarks, equivalence tests) must not touch the persistent cache,
+    # and an explicit directory must not fall back to the worker's default.
+    if cache_dir is None:
         payload["cache_off"] = True
+    else:
+        payload["cache_dir"] = cache_dir
     return payload
 
 
@@ -383,7 +377,6 @@ def _certify_pool_result(item: PlanItem, wire: object):
 def run_plan(
     plan: BatchSolvePlan,
     workers: int = 0,
-    shards: int = 1,
     cache="auto",
     memo: Optional[HotMemo] = None,
 ) -> BatchReport:
@@ -393,9 +386,9 @@ def run_plan(
     pool (the supervised batch runtime's worker runner,
     :func:`repro.experiments.harness.execute_batch_task`); anything a
     worker returns is re-certified by the parent before it is memoised
-    or served.  ``workers <= 1`` solves inline.  ``shards`` is threaded
-    into each solve's pre-fixpoint stages.  ``memo`` carries the hot
-    memo across plans (a fresh one is used per call by default).
+    or served; workers read and write the directory ``cache`` resolves
+    to in the parent.  ``workers <= 1`` solves inline.  ``memo`` carries
+    the hot memo across plans (a fresh one is used per call by default).
 
     Results are deterministic in the plan's input order and independent
     of ``workers`` and of the group schedule: grouping, representative
@@ -417,7 +410,7 @@ def run_plan(
     results: List[Optional[Dict[str, object]]] = [None] * len(plan.items)
 
     def solve_member(item: PlanItem):
-        result = _solve_inline(item, cache, shards, None)
+        result = _solve_inline(item, cache)
         counters["solves"] += 1
         if result.cache_status == "hit":
             counters["cache_hits"] += 1
@@ -444,13 +437,14 @@ def run_plan(
             pending.append(group)
 
     if workers > 1 and pending:
+        from repro.core.cache import resolve_cache
         from repro.experiments.harness import execute_batch_task
         from repro.runtime.parallel import get_pool
 
+        store = resolve_cache(cache)
+        cache_dir = os.path.abspath(store.directory) if store is not None else None
         pool = get_pool(workers)
-        payloads = [
-            _pool_payload(group.representative, shards, cache) for group in pending
-        ]
+        payloads = [_pool_payload(group.representative, cache_dir) for group in pending]
         wires = pool.map(execute_batch_task, payloads)
         rep_results = []
         for group, wire in zip(pending, wires):

@@ -703,10 +703,6 @@ class Supervisor:
         attempt.process.kill()
         attempt.process.join()
         attempt.conn.close()
-        # A SIGKILLed process gets no chance to unlink shared-memory
-        # segments it created (sharded solves); reap any segment whose
-        # creator pid is dead so /dev/shm never accumulates leaks.
-        self._reap_shared_memory()
         self._record_failure(
             state,
             ledger,
@@ -918,24 +914,8 @@ class Supervisor:
         if ledger is not None:
             ledger.compact()
             ledger.close()
-        # End-of-batch sweep: segments orphaned by killed processes (this
-        # run's or a previous crashed run's) are unlinked here, so a
-        # kill-and-resume cycle leaves /dev/shm clean.
-        self._reap_shared_memory()
         ordered = [results[f] for f in order if f in results]
         return BatchReport(ordered, interrupted=interrupted, torn_tail=torn_tail)
-
-    @staticmethod
-    def _reap_shared_memory() -> None:
-        """Unlink shared-memory segments whose creator process is dead."""
-        try:
-            from repro.runtime.parallel import reap_stale_segments
-
-            reap_stale_segments()
-        except Exception:
-            # Reaping is best-effort hygiene; a failure here must never
-            # turn a finished batch into an error.
-            pass
 
     def _settle(
         self,

@@ -63,6 +63,18 @@ class TestFingerprint:
         assert task_fingerprint(task(faults={"1": {"kind": "sigkill"}})) == plain
         assert task_fingerprint(task(label="anything")) == plain
 
+    def test_batch_spec_fingerprint_is_pinned(self):
+        """Ledgers written by earlier releases still resume.
+
+        The literal is the fingerprint an older task-spec layout (which
+        carried an extra non-semantic field) produced for this spec; a
+        change here strands every existing ledger's completed results.
+        """
+        from repro.experiments.harness import batch_task_specs
+
+        spec = batch_task_specs(queries=["q_ds"], scale=0.25)[0]
+        assert task_fingerprint(spec) == "9923f61457423ff9"
+
 
 class TestAppendAndRead:
     def test_append_writes_header_then_records(self, tmp_path):
